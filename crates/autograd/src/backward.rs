@@ -1,19 +1,45 @@
 //! Reverse-mode differentiation.
 //!
-//! [`Tape::grad_vars`] walks the tape from an output node backwards,
-//! accumulating adjoints. Every vector-Jacobian product is *itself built from
-//! tape operations*, so the returned gradients are ordinary differentiable
-//! [`Var`]s: calling `grad_vars` on an expression built from them yields exact
-//! second-order derivatives. This is the mechanism behind the Hessian-vector
-//! products of Algorithm 1, step 9 (`ξ ∂²L^q/∂X̂^q² = ∂L^p/∂X̂^q`).
+//! Two reverse passes share one rule table (`vjps`, below):
+//!
+//! * **Recorded** — [`Tape::grad_vars`] / [`Tape::grad_vars_multi`]. Every
+//!   vector-Jacobian product is *itself built from tape operations*, so the
+//!   returned gradients are ordinary differentiable [`Var`]s: calling
+//!   `grad_vars` on an expression built from them yields exact second-order
+//!   derivatives. This is the mechanism behind the Hessian-vector products of
+//!   Algorithm 1, step 9 (`ξ ∂²L^q/∂X̂^q² = ∂L^p/∂X̂^q`).
+//! * **Value-only** — [`Tape::grad`] / [`Tape::grad_multi`]. The same rules
+//!   evaluate each VJP straight to a [`Tensor`] through the kernels the tape
+//!   records with, so every value is bitwise the recorded pass's, but nothing
+//!   is pushed on the tape and each adjoint buffer goes back to the buffer
+//!   pool as soon as it is consumed. Use it whenever only the gradient's value
+//!   is read (CG operators, corrections, training steps).
+//!
+//! Both passes start with one forward sweep that marks the nodes depending on
+//! a `wrt` node ("live"), and form VJPs only for live inputs. A contribution
+//! to a dead node can never reach a `wrt`, and every contribution to a live
+//! node comes from a live consumer, so pruning drops no term of any result
+//! and keeps the accumulation order. The scan also stops at the earliest
+//! `wrt` node: in an unrolled training loop, step t's backward walks step t
+//! only, not steps 0..t.
 //!
 //! Piecewise-linear activations (`relu`, and the switching mask of `selu`)
 //! treat their activation pattern as a constant, which matches the
 //! almost-everywhere derivative and is the standard convention.
 
-use crate::tape::{Op, Tape, SELU_ALPHA, SELU_LAMBDA};
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
+
+use msopds_telemetry as telemetry;
+
+use crate::pool;
+use crate::tape::{eval, Node, NodeId, Op, Tape, SELU_ALPHA, SELU_LAMBDA};
 use crate::tensor::Tensor;
 use crate::var::Var;
+
+/// Kernel evaluations made by value-only backward passes. They record no
+/// node, so `autograd.tape.ops` does not count them.
+static VALUE_OPS: telemetry::Counter = telemetry::Counter::new("autograd.backward.value_ops");
 
 impl Tape {
     /// Differentiable gradients of `output` with respect to each `wrt` node.
@@ -22,26 +48,7 @@ impl Tape {
     /// of `output.sum()`. Nodes unreachable from `output` get a zero gradient
     /// of the appropriate shape.
     pub fn grad_vars<'t>(&'t self, output: Var<'t>, wrt: &[Var<'t>]) -> Vec<Var<'t>> {
-        let n = output.id + 1;
-        let mut adj: Vec<Option<Var<'t>>> = vec![None; n];
-        let out_shape = output.value().shape().to_vec();
-        adj[output.id] = Some(self.constant(Tensor::ones(&out_shape)));
-
-        for id in (0..n).rev() {
-            let Some(g) = adj[id] else { continue };
-            let op = self.op(id);
-            let out = Var { tape: self, id };
-            self.push_vjps(&op, out, g, &mut adj);
-        }
-
-        wrt.iter()
-            .map(|v| {
-                adj.get(v.id)
-                    .copied()
-                    .flatten()
-                    .unwrap_or_else(|| self.constant(Tensor::zeros(v.value().shape())))
-            })
-            .collect()
+        self.grad_vars_multi(&[output], wrt).remove(0)
     }
 
     /// Differentiable gradients of several outputs in **one** reverse scan.
@@ -60,36 +67,24 @@ impl Tape {
         outputs: &[Var<'t>],
         wrt: &[Var<'t>],
     ) -> Vec<Vec<Var<'t>>> {
-        let n = outputs.iter().map(|o| o.id + 1).max().unwrap_or(0);
-        let mut adjs: Vec<Vec<Option<Var<'t>>>> = Vec::with_capacity(outputs.len());
-        for output in outputs {
-            let mut adj: Vec<Option<Var<'t>>> = vec![None; n];
-            let out_shape = output.value().shape().to_vec();
-            adj[output.id] = Some(self.constant(Tensor::ones(&out_shape)));
-            adjs.push(adj);
-        }
-
-        for id in (0..n).rev() {
-            if adjs.iter().all(|adj| adj[id].is_none()) {
-                continue;
-            }
-            let op = self.op(id);
-            let out = Var { tape: self, id };
-            for adj in adjs.iter_mut() {
-                if let Some(g) = adj[id] {
-                    self.push_vjps(&op, out, g, adj);
-                }
-            }
-        }
-
-        adjs.into_iter()
+        let out_ids: Vec<NodeId> = outputs.iter().map(Var::id).collect();
+        let wrt_ids: Vec<NodeId> = wrt.iter().map(Var::id).collect();
+        let marks = Marks::new(&self.nodes.borrow(), &out_ids, &wrt_ids);
+        let seeds = out_ids
+            .iter()
+            .map(|&o| {
+                marks.live(o).then(|| (o, self.constant(Tensor::ones(self.value(o).shape()))))
+            })
+            .collect();
+        let recorder = Recorder(self);
+        scan(&recorder, &marks, seeds)
+            .iter()
             .map(|adj| {
-                wrt.iter()
-                    .map(|v| {
-                        adj.get(v.id)
-                            .copied()
-                            .flatten()
-                            .unwrap_or_else(|| self.constant(Tensor::zeros(v.value().shape())))
+                wrt_ids
+                    .iter()
+                    .map(|&w| {
+                        adj_of(adj, w)
+                            .unwrap_or_else(|| self.constant(Tensor::zeros(self.value(w).shape())))
                     })
                     .collect()
             })
@@ -98,134 +93,355 @@ impl Tape {
 
     /// Gradient values of `output` w.r.t. each `wrt` node.
     ///
-    /// Convenience wrapper around [`Tape::grad_vars`] that extracts tensors.
+    /// Bitwise equal to the values of [`Tape::grad_vars`], computed by the
+    /// value-only pass: the tape does not grow.
     pub fn grad(&self, output: Var<'_>, wrt: &[Var<'_>]) -> Vec<Tensor> {
-        // Lifetimes: wrt vars all live on this tape.
-        let wrt_here: Vec<Var<'_>> = wrt.iter().map(|v| Var { tape: self, id: v.id }).collect();
-        let out = Var { tape: self, id: output.id };
-        self.grad_vars(out, &wrt_here).into_iter().map(|v| v.value()).collect()
+        self.grad_multi(&[output], wrt).remove(0)
     }
 
-    fn push_vjps<'t>(&'t self, op: &Op, out: Var<'t>, g: Var<'t>, adj: &mut [Option<Var<'t>>]) {
-        use Op::*;
-        let var = |id: usize| Var { tape: self, id };
-        let mut acc = |id: usize, c: Var<'t>| {
-            // Contributions always flow to earlier nodes, so `id` is in range.
-            adj[id] = Some(match adj[id] {
-                Some(existing) => existing.add(c),
-                None => c,
-            });
-        };
-        match op {
-            Leaf { .. } => {}
-            Add(a, b) => {
-                acc(*a, g);
-                acc(*b, g);
+    /// Gradient values of several outputs: `result[s][w]` = ∂outputs[s]/∂wrt[w],
+    /// bitwise equal to `grad_vars_multi(outputs, wrt)[s][w].value()`.
+    ///
+    /// The value-only counterpart of [`Tape::grad_vars_multi`]; nothing is
+    /// recorded. The seeds run across the kernel pool's lanes
+    /// ([`pool::run_chunks`]), one whole sequential scan per seed, so the
+    /// result does not depend on the lane count.
+    pub fn grad_multi(&self, outputs: &[Var<'_>], wrt: &[Var<'_>]) -> Vec<Vec<Tensor>> {
+        let out_ids: Vec<NodeId> = outputs.iter().map(Var::id).collect();
+        let wrt_ids: Vec<NodeId> = wrt.iter().map(Var::id).collect();
+        let guard = self.nodes.borrow();
+        let nodes: &[Node] = &guard;
+        let marks = Marks::new(nodes, &out_ids, &wrt_ids);
+        let slots: Vec<OnceLock<Vec<Tensor>>> = out_ids.iter().map(|_| OnceLock::new()).collect();
+        pool::run_chunks(out_ids.len(), &|s| {
+            let o = out_ids[s];
+            let seed = marks.live(o).then(|| (o, Tensor::ones(nodes[o].value.shape())));
+            let adj = scan(&Values(nodes), &marks, vec![seed]).remove(0);
+            let grads = wrt_ids
+                .iter()
+                .map(|&w| adj_of(&adj, w).unwrap_or_else(|| Tensor::zeros(nodes[w].value.shape())))
+                .collect();
+            assert!(slots[s].set(grads).is_ok(), "seed {s} scanned twice");
+        });
+        slots.into_iter().map(|slot| slot.into_inner().expect("every seed is scanned")).collect()
+    }
+}
+
+/// Which nodes one backward call must visit.
+struct Marks {
+    /// The earliest `wrt` node: nothing below it can be live.
+    lo: usize,
+    /// `live[id]`: node `id` depends on some `wrt` node (or is one).
+    live: Vec<bool>,
+    /// `wrt[id]`: node `id` is asked for, so its adjoint is kept.
+    wrt: Vec<bool>,
+}
+
+impl Marks {
+    /// One forward sweep over the nodes up to the last output.
+    fn new(nodes: &[Node], outputs: &[NodeId], wrt: &[NodeId]) -> Self {
+        let n = outputs.iter().map(|&o| o + 1).max().unwrap_or(0);
+        let mut marks = Marks { lo: n, live: vec![false; n], wrt: vec![false; n] };
+        for &w in wrt.iter().filter(|&&w| w < n) {
+            marks.live[w] = true;
+            marks.wrt[w] = true;
+            marks.lo = marks.lo.min(w);
+        }
+        // Inputs precede their consumers, so one ascending sweep suffices.
+        for (id, node) in nodes.iter().enumerate().take(n).skip(marks.lo) {
+            if !marks.live[id] {
+                marks.live[id] = node.op.inputs().iter().any(|i| marks.live[i]);
             }
-            Sub(a, b) => {
-                acc(*a, g);
-                acc(*b, g.neg());
+        }
+        marks
+    }
+
+    fn live(&self, id: NodeId) -> bool {
+        self.live.get(id).copied().unwrap_or(false)
+    }
+}
+
+/// The operations the reverse rules are built from. [`Var`] records each one
+/// as a tape node; [`Tensor`] evaluates it with the kernel the tape would
+/// have used and recycles operands it consumed.
+trait Adjoint: Clone {
+    /// Applies the unary op `f(input)` to `self`.
+    fn un(self, f: impl FnOnce(NodeId) -> Op) -> Self;
+    /// Applies the binary op `f(lhs, rhs)` to `(self, rhs)`.
+    fn bin(self, rhs: Self, f: impl FnOnce(NodeId, NodeId) -> Op) -> Self;
+
+    fn add(self, rhs: Self) -> Self {
+        self.bin(rhs, Op::Add)
+    }
+    fn mul(self, rhs: Self) -> Self {
+        self.bin(rhs, Op::Mul)
+    }
+    fn div(self, rhs: Self) -> Self {
+        self.bin(rhs, Op::Div)
+    }
+    fn matmul(self, rhs: Self) -> Self {
+        self.bin(rhs, Op::Matmul)
+    }
+    fn neg(self) -> Self {
+        self.un(Op::Neg)
+    }
+    fn exp(self) -> Self {
+        self.un(Op::Exp)
+    }
+    fn t(self) -> Self {
+        self.un(Op::Transpose)
+    }
+    fn sum(self) -> Self {
+        self.un(Op::Sum)
+    }
+    fn scale(self, c: f64) -> Self {
+        self.un(|a| Op::MulScalar(a, c))
+    }
+    fn add_scalar(self, c: f64) -> Self {
+        self.un(|a| Op::AddScalar(a, c))
+    }
+    fn pow_scalar(self, p: f64) -> Self {
+        self.un(|a| Op::PowScalar(a, p))
+    }
+    fn slice_cols(self, from: usize, to: usize) -> Self {
+        self.un(|a| Op::SliceCols(a, from, to))
+    }
+    /// `x * x`, recorded as one `Mul` like [`Var::square`].
+    fn square(self) -> Self {
+        self.clone().mul(self)
+    }
+}
+
+impl Adjoint for Var<'_> {
+    fn un(self, f: impl FnOnce(NodeId) -> Op) -> Self {
+        self.tape.apply(f(self.id))
+    }
+    fn bin(self, rhs: Self, f: impl FnOnce(NodeId, NodeId) -> Op) -> Self {
+        self.tape.apply(f(self.id, rhs.id))
+    }
+}
+
+impl Adjoint for Tensor {
+    fn un(self, f: impl FnOnce(NodeId) -> Op) -> Self {
+        VALUE_OPS.incr();
+        let out = eval(&f(0), |_| &self);
+        self.reclaim();
+        out
+    }
+    fn bin(self, rhs: Self, f: impl FnOnce(NodeId, NodeId) -> Op) -> Self {
+        VALUE_OPS.incr();
+        let out = eval(&f(0, 1), |i| if i == 0 { &self } else { &rhs });
+        self.reclaim();
+        rhs.reclaim();
+        out
+    }
+}
+
+/// Where a reverse scan reads the forward pass and puts its constants.
+trait Scan {
+    type Adj: Adjoint;
+    fn op(&self, id: NodeId) -> Cow<'_, Op>;
+    /// Forward node `id` as an operand of a VJP.
+    fn node(&self, id: NodeId) -> Self::Adj;
+    /// Forward value of node `id` (shapes, activation masks).
+    fn value(&self, id: NodeId) -> Tensor;
+    fn constant(&self, t: Tensor) -> Self::Adj;
+}
+
+/// The recorded pass: VJPs become tape nodes.
+struct Recorder<'t>(&'t Tape);
+
+impl<'t> Scan for Recorder<'t> {
+    type Adj = Var<'t>;
+    fn op(&self, id: NodeId) -> Cow<'_, Op> {
+        Cow::Owned(self.0.op(id))
+    }
+    fn node(&self, id: NodeId) -> Var<'t> {
+        Var { tape: self.0, id }
+    }
+    fn value(&self, id: NodeId) -> Tensor {
+        self.0.value(id)
+    }
+    fn constant(&self, t: Tensor) -> Var<'t> {
+        self.0.constant(t)
+    }
+}
+
+/// The value-only pass: reads the node arena directly, so seeds can scan it
+/// from several lanes at once.
+struct Values<'a>(&'a [Node]);
+
+impl Scan for Values<'_> {
+    type Adj = Tensor;
+    fn op(&self, id: NodeId) -> Cow<'_, Op> {
+        Cow::Borrowed(&self.0[id].op)
+    }
+    fn node(&self, id: NodeId) -> Tensor {
+        self.0[id].value.clone()
+    }
+    fn value(&self, id: NodeId) -> Tensor {
+        self.0[id].value.clone()
+    }
+    fn constant(&self, t: Tensor) -> Tensor {
+        t
+    }
+}
+
+/// The adjoint reached at `id`, if any.
+fn adj_of<A: Clone>(adj: &[Option<A>], id: NodeId) -> Option<A> {
+    adj.get(id).cloned().flatten()
+}
+
+/// Walks the live nodes from the last output down to the earliest `wrt`,
+/// one adjoint array per seed, and returns the arrays. Only `wrt` adjoints
+/// survive; every other one is consumed by its node's VJPs.
+fn scan<S: Scan>(
+    s: &S,
+    marks: &Marks,
+    seeds: Vec<Option<(NodeId, S::Adj)>>,
+) -> Vec<Vec<Option<S::Adj>>> {
+    let n = marks.live.len();
+    let mut adjs: Vec<Vec<Option<S::Adj>>> = seeds
+        .into_iter()
+        .map(|seed| {
+            let mut adj = vec![None; n];
+            if let Some((id, g)) = seed {
+                adj[id] = Some(g);
             }
-            Mul(a, b) => {
-                acc(*a, g.mul(var(*b)));
-                acc(*b, g.mul(var(*a)));
-            }
-            Div(a, b) => {
-                let bv = var(*b);
-                acc(*a, g.div(bv));
-                acc(*b, g.mul(out).div(bv).neg());
-            }
-            Neg(a) => acc(*a, g.neg()),
-            AddScalar(a, _) => acc(*a, g),
-            MulScalar(a, c) => acc(*a, g.scale(*c)),
-            PowScalar(a, p) => {
-                let av = var(*a);
-                acc(*a, g.mul(av.pow_scalar(p - 1.0)).scale(*p));
-            }
-            Matmul(a, b) => {
-                let (av, bv) = (var(*a), var(*b));
-                acc(*a, g.matmul(bv.t()));
-                acc(*b, av.t().matmul(g));
-            }
-            Transpose(a) => acc(*a, g.t()),
-            Reshape(a, _) => {
-                let shape = self.value(*a).shape().to_vec();
-                acc(*a, g.reshape(&shape));
-            }
-            Sum(a) => {
-                let shape = self.value(*a).shape().to_vec();
-                acc(*a, g.expand(&shape));
-            }
-            SumRows(a) => {
-                let n = self.value(*a).cols();
-                acc(*a, g.broadcast_cols(n));
-            }
-            SumCols(a) => {
-                let m = self.value(*a).rows();
-                acc(*a, g.broadcast_rows(m));
-            }
-            ExpandScalar(a, _) => acc(*a, g.sum()),
-            BroadcastCols(a, _) => acc(*a, g.sum_rows()),
-            BroadcastRows(a, _) => acc(*a, g.sum_cols()),
-            GatherRows(a, idx) => {
-                let m = self.value(*a).rows();
-                acc(*a, g.scatter_add_rows(idx.clone(), m));
-            }
-            ScatterAddRows(a, idx, _) => acc(*a, g.gather_rows(idx.clone())),
-            GatherElems(a, idx) => {
-                let n = self.value(*a).numel();
-                acc(*a, g.scatter_add_elems(idx.clone(), n));
-            }
-            ScatterAddElems(a, idx, _) => acc(*a, g.gather_elems(idx.clone())),
-            Spmm(m, transposed, a) => {
-                // ∂(A·x)/∂x applied to g is Aᵀ·g — another Spmm node, so the
-                // gradient stays differentiable (HVPs flip the flag back).
-                acc(*a, crate::sparse::spmm_oriented(m, !transposed, g));
-            }
-            ConcatCols(a, b) => {
-                let na = self.value(*a).cols();
-                let nb = self.value(*b).cols();
-                acc(*a, g.slice_cols(0, na));
-                acc(*b, g.slice_cols(na, na + nb));
-            }
-            SliceCols(a, from, _) => {
-                let total = self.value(*a).cols();
-                acc(*a, g.pad_cols(*from, total));
-            }
-            PadCols(a, from, _) => {
-                let w = self.value(*a).cols();
-                acc(*a, g.slice_cols(*from, from + w));
-            }
-            Exp(a) => acc(*a, g.mul(out)),
-            Ln(a) => acc(*a, g.div(var(*a))),
-            Sqrt(a) => acc(*a, g.scale(0.5).div(out)),
-            Sigmoid(a) => {
-                // σ' = σ(1-σ)
-                acc(*a, g.mul(out).mul(out.neg().add_scalar(1.0)));
-            }
-            Tanh(a) => {
-                // tanh' = 1 - tanh²
-                acc(*a, g.mul(out.square().neg().add_scalar(1.0)));
-            }
-            Relu(a) => {
-                let mask = self.constant(self.value(*a).map(|x| if x > 0.0 { 1.0 } else { 0.0 }));
-                acc(*a, g.mul(mask));
-            }
-            Selu(a) => {
-                // d/dx = λ for x > 0, λ·α·eˣ for x ≤ 0. The mask is the
-                // (constant) activation pattern; the eˣ factor stays
-                // differentiable so second-order terms through the negative
-                // branch are exact.
-                let av = var(*a);
-                let mask = self.constant(self.value(*a).map(|x| if x > 0.0 { 1.0 } else { 0.0 }));
-                let inv_mask = mask.neg().add_scalar(1.0);
-                let deriv = mask
-                    .scale(SELU_LAMBDA)
-                    .add(inv_mask.mul(av.exp()).scale(SELU_LAMBDA * SELU_ALPHA));
-                acc(*a, g.mul(deriv));
+            adj
+        })
+        .collect();
+    for id in (marks.lo..n).rev() {
+        if !marks.live[id] || adjs.iter().all(|adj| adj[id].is_none()) {
+            continue;
+        }
+        let op = s.op(id);
+        for adj in adjs.iter_mut() {
+            let g = if marks.wrt[id] { adj[id].clone() } else { adj[id].take() };
+            if let Some(g) = g {
+                vjps(s, &op, id, g, &marks.live, adj);
             }
         }
     }
+    adjs
+}
+
+/// The reverse rules: pushes `g`·∂out/∂input into the adjoint of every live
+/// input of `op` (node `out`).
+fn vjps<S: Scan>(
+    s: &S,
+    op: &Op,
+    out: NodeId,
+    g: S::Adj,
+    live: &[bool],
+    adj: &mut [Option<S::Adj>],
+) {
+    use Op::*;
+    // Contributions always flow to earlier nodes, so `id` is in range. The
+    // contribution is only built when `id` is live.
+    macro_rules! acc {
+        ($id:expr, $c:expr) => {{
+            let id: NodeId = $id;
+            if live[id] {
+                let c = $c;
+                adj[id] = Some(match adj[id].take() {
+                    Some(existing) => existing.add(c),
+                    None => c,
+                });
+            }
+        }};
+    }
+    let outv = || s.node(out);
+    match op {
+        Leaf { .. } => {}
+        Add(a, b) => {
+            acc!(*a, g.clone());
+            acc!(*b, g);
+        }
+        Sub(a, b) => {
+            acc!(*a, g.clone());
+            acc!(*b, g.neg());
+        }
+        Mul(a, b) => {
+            acc!(*a, g.clone().mul(s.node(*b)));
+            acc!(*b, g.mul(s.node(*a)));
+        }
+        Div(a, b) => {
+            acc!(*a, g.clone().div(s.node(*b)));
+            acc!(*b, g.mul(outv()).div(s.node(*b)).neg());
+        }
+        Neg(a) => acc!(*a, g.neg()),
+        AddScalar(a, _) => acc!(*a, g),
+        MulScalar(a, c) => acc!(*a, g.scale(*c)),
+        PowScalar(a, p) => acc!(*a, g.mul(s.node(*a).pow_scalar(p - 1.0)).scale(*p)),
+        Matmul(a, b) => {
+            acc!(*a, g.clone().matmul(s.node(*b).t()));
+            acc!(*b, s.node(*a).t().matmul(g));
+        }
+        Transpose(a) => acc!(*a, g.t()),
+        Reshape(a, _) => {
+            acc!(*a, {
+                let shape = s.value(*a).shape().to_vec();
+                g.un(|x| Reshape(x, shape))
+            })
+        }
+        Sum(a) => {
+            acc!(*a, {
+                let shape = s.value(*a).shape().to_vec();
+                g.un(|x| ExpandScalar(x, shape))
+            })
+        }
+        SumRows(a) => acc!(*a, g.un(|x| BroadcastCols(x, s.value(*a).cols()))),
+        SumCols(a) => acc!(*a, g.un(|x| BroadcastRows(x, s.value(*a).rows()))),
+        ExpandScalar(a, _) => acc!(*a, g.sum()),
+        BroadcastCols(a, _) => acc!(*a, g.un(SumRows)),
+        BroadcastRows(a, _) => acc!(*a, g.un(SumCols)),
+        GatherRows(a, idx) => {
+            acc!(*a, g.un(|x| ScatterAddRows(x, Arc::clone(idx), s.value(*a).rows())))
+        }
+        ScatterAddRows(a, idx, _) => acc!(*a, g.un(|x| GatherRows(x, Arc::clone(idx)))),
+        GatherElems(a, idx) => {
+            acc!(*a, g.un(|x| ScatterAddElems(x, Arc::clone(idx), s.value(*a).numel())))
+        }
+        ScatterAddElems(a, idx, _) => acc!(*a, g.un(|x| GatherElems(x, Arc::clone(idx)))),
+        // ∂(A·x)/∂x applied to g is Aᵀ·g — another Spmm node, so the gradient
+        // stays differentiable (HVPs flip the flag back).
+        Spmm(m, transposed, a) => acc!(*a, g.un(|x| Spmm(Arc::clone(m), !transposed, x))),
+        ConcatCols(a, b) => {
+            let na = s.value(*a).cols();
+            acc!(*a, g.clone().slice_cols(0, na));
+            acc!(*b, g.slice_cols(na, na + s.value(*b).cols()));
+        }
+        SliceCols(a, from, _) => acc!(*a, g.un(|x| PadCols(x, *from, s.value(*a).cols()))),
+        PadCols(a, from, _) => acc!(*a, g.slice_cols(*from, from + s.value(*a).cols())),
+        Exp(a) => acc!(*a, g.mul(outv())),
+        Ln(a) => acc!(*a, g.div(s.node(*a))),
+        Sqrt(a) => acc!(*a, g.scale(0.5).div(outv())),
+        // σ' = σ(1-σ)
+        Sigmoid(a) => acc!(*a, g.mul(outv()).mul(outv().neg().add_scalar(1.0))),
+        // tanh' = 1 - tanh²
+        Tanh(a) => acc!(*a, g.mul(outv().square().neg().add_scalar(1.0))),
+        Relu(a) => acc!(*a, g.mul(s.constant(positive_mask(&s.value(*a))))),
+        Selu(a) => {
+            // d/dx = λ for x > 0, λ·α·eˣ for x ≤ 0. The mask is the
+            // (constant) activation pattern; the eˣ factor stays
+            // differentiable so second-order terms through the negative
+            // branch are exact.
+            acc!(*a, {
+                let mask = s.constant(positive_mask(&s.value(*a)));
+                let inv_mask = mask.clone().neg().add_scalar(1.0);
+                let deriv = mask
+                    .scale(SELU_LAMBDA)
+                    .add(inv_mask.mul(s.node(*a).exp()).scale(SELU_LAMBDA * SELU_ALPHA));
+                g.mul(deriv)
+            })
+        }
+    }
+}
+
+/// The activation pattern `x > 0` as ones and zeros.
+fn positive_mask(x: &Tensor) -> Tensor {
+    x.map(|x| if x > 0.0 { 1.0 } else { 0.0 })
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! Two interchangeable mechanisms:
 //!
 //! * [`hvp_exact`] / [`mixed_vjp_exact`] — double backward through the tape.
-//!   Because every VJP in [`crate::backward`] is recorded as ordinary tape
-//!   ops, differentiating a gradient node is exact.
+//!   Because [`Tape::grad_vars`] records every VJP as ordinary tape ops,
+//!   differentiating a gradient node is exact.
 //! * [`HvpMode::FiniteDiff`] — central differences of a user-supplied gradient
 //!   closure, used as an independent cross-check in tests and as a fallback
 //!   for extremely deep unrolled tapes.

@@ -1,10 +1,12 @@
 //! # msopds-autograd
 //!
 //! Tape-based reverse-mode automatic differentiation over dense `f64`
-//! tensors, with **higher-order** support: backward passes emit their
-//! vector-Jacobian products as ordinary tape operations, so gradients are
-//! themselves differentiable. This is the numerical substrate replacing
-//! PyTorch for the MSOPDS reproduction — Algorithm 1 of the paper needs
+//! tensors, with **higher-order** support: recorded backward passes
+//! ([`Tape::grad_vars`]) emit their vector-Jacobian products as ordinary tape
+//! operations, so gradients are themselves differentiable, while value-only
+//! passes ([`Tape::grad`]) compute the same values without recording. This
+//! is the numerical substrate replacing PyTorch for the MSOPDS
+//! reproduction — Algorithm 1 of the paper needs
 //! first-order gradients through an *unrolled* surrogate training loop and
 //! second-order vector-Jacobian products for its conjugate-gradient
 //! Stackelberg solve, both of which this crate provides exactly.

@@ -1,7 +1,7 @@
 //! The autodiff tape: a growing arena of operation nodes.
 //!
 //! Every differentiable computation in the workspace is recorded as a node on
-//! a [`Tape`]. Backward passes (see [`crate::backward`]) emit their
+//! a [`Tape`]. Recorded backward passes (see [`crate::backward`]) emit their
 //! vector-Jacobian products as *new tape nodes built from the same op set*,
 //! which is what makes gradients themselves differentiable — the property
 //! Algorithm 1 of the MSOPDS paper relies on for its second-order
@@ -17,7 +17,9 @@ use msopds_telemetry as telemetry;
 
 use crate::tensor::Tensor;
 
-/// Operations recorded across all tapes (forward and backward-emitted nodes).
+/// Operations recorded across all tapes (forward nodes and the VJP nodes of
+/// recorded backward passes; value-only passes count under
+/// `autograd.backward.value_ops` instead).
 static TAPE_OPS: telemetry::Counter = telemetry::Counter::new("autograd.tape.ops");
 
 /// SELU scale constant λ (Klambauer et al., 2017).
@@ -281,7 +283,7 @@ impl Tape {
     pub(crate) fn apply(&self, op: Op) -> crate::Var<'_> {
         let value = {
             let nodes = self.nodes.borrow();
-            eval(&op, &nodes)
+            eval(&op, |id| &nodes[id].value)
         };
         self.push(op, value)
     }
@@ -297,13 +299,14 @@ impl Drop for Tape {
     }
 }
 
-/// Computes the forward value of `op` given the current node arena.
+/// Computes the value of `op`, reading input `id` through `v`.
 ///
 /// Structural and reduction ops delegate to the (pooled, possibly parallel)
-/// kernels on [`Tensor`]; this function only routes inputs.
-fn eval(op: &Op, nodes: &[Node]) -> Tensor {
+/// kernels on [`Tensor`]; this function only routes inputs. Recording reads
+/// the node arena; the value-only backward pass (see [`crate::backward`])
+/// reads its adjoint operands, so both evaluate through the same kernels.
+pub(crate) fn eval<'a>(op: &Op, v: impl Fn(NodeId) -> &'a Tensor) -> Tensor {
     use Op::*;
-    let v = |id: NodeId| &nodes[id].value;
     match op {
         Leaf { .. } => unreachable!("leaves are pushed with explicit values"),
         Add(a, b) => v(*a).zip(v(*b), |x, y| x + y),
@@ -397,7 +400,7 @@ mod tests {
         }
         let loss = y.sum();
         let before = tape.len();
-        let _ = tape.grad(loss, &[x]);
+        let _ = tape.grad_vars(loss, &[x]);
         let after = tape.len();
         assert!(after - before < 8 * before, "backward blow-up: {before} -> {after}");
     }

@@ -5,12 +5,14 @@
 //! order as the sequential kernel, so results are *bit-identical* for any
 //! thread count. These tests force the parallel code paths on small tensors
 //! (thresholds dropped to 1, 4 lanes) and compare against a sequential run
-//! bit for bit, across randomized shapes and values.
+//! bit for bit, across randomized shapes and values. Multi-seed value-only
+//! backward passes, whose seeds run on separate lanes, are held to the same
+//! contract at 1, 2 and 4 lanes.
 
 use std::sync::Mutex;
 
 use msopds_autograd::pool::{self, DEFAULT_COPY_MIN, DEFAULT_ELEMWISE_MIN, DEFAULT_MATMUL_MIN};
-use msopds_autograd::{Tape, Tensor};
+use msopds_autograd::{spmm, SparseMatrix, SparseOperand, Tape, Tensor};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -146,4 +148,57 @@ fn tape_reset_recycles_buffers() {
     let (bufs2, _) = pool::buffer_pool_stats();
     assert!(bufs2 <= bufs + 4, "steady-state reuse expected: {bufs} then {bufs2} held buffers");
     pool::clear_buffer_pool();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn grad_multi_bits_match_across_lanes(
+        seed in 0u64..1000,
+        m in 2usize..12,
+        n in 2usize..12,
+        seeds in 1usize..6,
+    ) {
+        // Several seeds over one shared prefix, as in the planner's
+        // per-follower HVPs. The seeds spread over the lanes and every kernel
+        // inside a seed is forced parallel too (thresholds 1), so lanes are
+        // shared between the seed level and the kernel level.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let x0 = rand_tensor(&mut rng, &[m, n]);
+        let w0 = rand_tensor(&mut rng, &[n, n]);
+        let triplets: Vec<(usize, usize, f64)> = (0..3 * m)
+            .map(|_| (rng.gen_range(0..m), rng.gen_range(0..m), rng.gen_range(-1.0..1.0)))
+            .collect();
+        let adj = SparseOperand::new(SparseMatrix::from_triplets(m, m, &triplets));
+        let rows: Vec<Arc<Vec<usize>>> =
+            (0..seeds).map(|_| Arc::new((0..m).map(|_| rng.gen_range(0..m)).collect())).collect();
+        let run = |lanes: usize| {
+            let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            pool::set_parallel_thresholds(1, 1, 1);
+            pool::configure_threads(lanes);
+            let tape = Tape::new();
+            let x = tape.leaf(x0.clone());
+            let w = tape.leaf(w0.clone());
+            let shared = spmm(&adj, x.matmul(w)).selu();
+            let outputs: Vec<_> = rows
+                .iter()
+                .enumerate()
+                .map(|(s, r)| {
+                    shared.gather_rows(Arc::clone(r)).scale(s as f64 + 1.0).square().sum()
+                })
+                .collect();
+            let grads = tape.grad_multi(&outputs, &[x, w]);
+            pool::set_parallel_thresholds(
+                DEFAULT_ELEMWISE_MIN,
+                DEFAULT_COPY_MIN,
+                DEFAULT_MATMUL_MIN,
+            );
+            pool::configure_threads(1);
+            grads.iter().flatten().flat_map(|g| g.to_vec()).collect::<Vec<f64>>()
+        };
+        let one = run(1);
+        assert_bits_eq(&one, &run(2))?;
+        assert_bits_eq(&one, &run(4))?;
+    }
 }

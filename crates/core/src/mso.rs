@@ -179,14 +179,15 @@ pub fn mso_optimize<G: StackelbergGame>(
         diag.leader_loss.push(built.lp.item());
         diag.follower_loss.push(built.lqs.iter().map(|l| l.item()).collect());
 
-        // ∂L^p/∂X^p and ∂L^p/∂X^qᵢ in one backward pass.
+        // ∂L^p/∂X^p and ∂L^p/∂X^qᵢ in one value-only backward pass: nothing
+        // differentiates them again, so they are not recorded.
         let gp_all = {
             let _grads_span = telemetry::span("grads");
             let mut wrt = vec![built.xp];
             wrt.extend(built.xqs.iter().copied());
-            tape.grad_vars(built.lp, &wrt)
+            tape.grad(built.lp, &wrt)
         };
-        let mut total = gp_all[0].value();
+        let mut total = gp_all[0].clone();
 
         let _correction_span = telemetry::span("correction");
         let mut cg_spent = 0usize;
@@ -210,7 +211,8 @@ pub fn mso_optimize<G: StackelbergGame>(
 
             // Phase 1: all follower gradients ∂L^qᵢ/∂X^qᵢ in one reverse
             // scan over the shared tape (the PDS build is walked once, not
-            // once per follower).
+            // once per follower). The only recorded backward of the round:
+            // the HVPs and corrections below differentiate these again.
             let gq_all = tape.grad_vars_multi(&built.lqs, &built.xqs);
             let gqs: Vec<Var<'_>> = gq_all.iter().enumerate().map(|(i, row)| row[i]).collect();
 
@@ -229,7 +231,7 @@ pub fn mso_optimize<G: StackelbergGame>(
                 follower_gnorm += gq_val.norm();
                 follower_grads.push(Some(gq_val));
 
-                let mut rhs = gp_all[1 + i].value();
+                let mut rhs = gp_all[1 + i].clone();
                 if faultline::armed() {
                     let mut v = rhs.to_vec();
                     faultline::corrupt_slice("mso.follower.rhs", &mut v);
@@ -249,7 +251,7 @@ pub fn mso_optimize<G: StackelbergGame>(
 
             // Phase 3: one lockstep multi-RHS solve. Each iteration fuses the
             // HVPs of every still-active follower into one multi-seed
-            // backward pass instead of one tape walk per follower.
+            // value-only backward pass, its seeds spread over the kernel lanes.
             let sols = if rhss.is_empty() {
                 Vec::new()
             } else {
@@ -263,12 +265,8 @@ pub fn mso_optimize<G: StackelbergGame>(
                             gvs.push(gqs[i].mul(vc).sum());
                             wrts.push(built.xqs[i]);
                         }
-                        let grads = tape.grad_vars_multi(&gvs, &wrts);
-                        grads
-                            .into_iter()
-                            .enumerate()
-                            .map(|(j, row)| row[j].value().to_vec())
-                            .collect()
+                        let grads = tape.grad_multi(&gvs, &wrts);
+                        grads.into_iter().enumerate().map(|(j, row)| row[j].to_vec()).collect()
                     },
                     &rhss,
                     cfg.cg_iters,
@@ -300,14 +298,14 @@ pub fn mso_optimize<G: StackelbergGame>(
                 gxi_followers.push(i);
             }
             if !gxis.is_empty() {
-                let corrections = tape.grad_vars_multi(&gxis, &[built.xp]);
+                let corrections = tape.grad_multi(&gxis, &[built.xp]);
                 for (row, &i) in corrections.iter().zip(&gxi_followers) {
-                    let correction = row[0].value();
+                    let correction = &row[0];
                     if !correction.all_finite() {
                         exclude(&mut diag, i, "non-finite mixed-Hessian correction".to_string());
                         continue;
                     }
-                    total = total.zip(&correction, |t, c| t - c);
+                    total = total.zip(correction, |t, c| t - c);
                 }
             }
         } else {
@@ -327,7 +325,7 @@ pub fn mso_optimize<G: StackelbergGame>(
                 follower_grads.push(Some(gq_val));
 
                 // Right-hand side ∂L^p/∂X^qᵢ of the implicit solve.
-                let mut rhs = gp_all[1 + i].value();
+                let mut rhs = gp_all[1 + i].clone();
                 if faultline::armed() {
                     let mut v = rhs.to_vec();
                     faultline::corrupt_slice("mso.follower.rhs", &mut v);
@@ -683,6 +681,19 @@ mod tests {
         assert_eq!(batched.diagnostics.exclusions.len(), 8);
         assert!(batched.diagnostics.exclusions[0].reason.contains("non-finite follower gradient"));
         assert_eq!(batched.xqs[1].item(), 0.0, "excluded follower stays frozen");
+    }
+
+    #[test]
+    fn two_follower_run_is_bitwise_equal_at_one_and_two_lanes() {
+        // The batched HVPs and corrections run one follower per lane; each
+        // follower's pass stays sequential, so the lane count moves no bit.
+        let cfg =
+            MsoConfig { eta_p: 0.03, eta_q: 0.3, iters: 30, threads: 1, ..Default::default() };
+        let x0 = Tensor::scalar(0.1);
+        let q0 = vec![Tensor::scalar(0.2), Tensor::scalar(-0.1)];
+        let one = mso_optimize(&Coupled, x0.clone(), q0.clone(), &cfg);
+        let two = mso_optimize(&Coupled, x0, q0, &MsoConfig { threads: 2, ..cfg });
+        assert_runs_bitwise_eq(&two, &one);
     }
 
     #[test]

@@ -451,6 +451,34 @@ mod tests {
     }
 
     #[test]
+    fn tape_grows_linearly_in_inner_steps() {
+        // Step t's backward walks step t only: steps 0..t cannot depend on
+        // θ_t, so the liveness-pruned reverse scan never visits them. Every
+        // step therefore records the same number of nodes, and four more
+        // steps cost what the first four did (a backward that walked every
+        // earlier step would make the second delta far larger).
+        let data = micro();
+        let candidates: Vec<PoisonAction> =
+            (0..10).map(|u| PoisonAction::Rating { user: u, item: 3, value: 5.0 }).collect();
+        let tape_len = |inner_steps: usize| {
+            let tape = Tape::new();
+            build_pds(
+                &tape,
+                &data,
+                &[PlayerInput { candidates: &candidates, xhat: Tensor::zeros(&[10]) }],
+                &PdsConfig { inner_steps, ..cfg() },
+            );
+            tape.len()
+        };
+        let (l0, l4, l8) = (tape_len(0), tape_len(4), tape_len(8));
+        let (first, second) = (l4 - l0, l8 - l4);
+        assert!(
+            first.abs_diff(second) <= 4,
+            "unroll steps 0..4 added {first} nodes, 4..8 {second}"
+        );
+    }
+
+    #[test]
     fn gradient_reaches_edge_candidates() {
         let data = micro();
         // Social edge between two users and an item edge to the target item.
